@@ -24,6 +24,10 @@ cargo test -q --workspace --offline
 echo "== cargo bench --no-run (benches compile)"
 cargo bench --no-run --offline --workspace
 
+echo "== perfbench builds (its own workspace; calls the crates' public APIs)"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml \
+  --target-dir target/perfbench
+
 echo "== scanperf --smoke (scan-path invariants on a small database)"
 cargo run -q --release --offline -p bench --bin scanperf -- --smoke
 

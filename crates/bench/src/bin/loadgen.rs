@@ -272,8 +272,8 @@ struct LiveCapture {
 
 /// Poll `Stats` until `stop` is set, asserting every reply parses and the
 /// counters are consistent: monotone across replies, and the sampled
-/// cumulative tally never ahead of the live atomic (workers bump the
-/// atomic *before* recording the histogram the sampler folds, so sampled
+/// cumulative tally never ahead of the live counter (the server reads the
+/// live value after the sampler's last read of the same cell, so sampled
 /// ≤ live always holds — the bounded-drift direction).
 fn poll_stats(addr: &str, stop: &AtomicBool) -> Vec<Sample> {
     let mut client = Client::connect(addr).expect("stats poller connect");
@@ -581,7 +581,7 @@ fn run_chaos_tier<P: pagestore::Scrubbable + Send + Sync + 'static>(
 
     // Phase 2: chaos. Network faults come from the proxy's seeded
     // schedule; storage faults are planted under the running server:
-    // drop the page cache so the drive's reads reach the store, absorb a
+    // drop the page cache so the drive's reads reach the store, ride out a
     // transient burst in the pool's bounded retries, then hit silent
     // corruption mid-query — quarantining the index so the rest of the
     // phase answers (correctly) from the object-store fallback.

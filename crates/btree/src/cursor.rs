@@ -69,6 +69,10 @@ pub struct SeekStats {
     pub depth_total: u64,
     /// Reseeks resolved inside the current leaf with no fetch at all.
     pub leaf_reseeks: u64,
+    /// Reseeks resolved by re-descending from a retained ancestor.
+    pub lca_reseeks: u64,
+    /// Reseeks that fell back to a full root descent.
+    pub full_reseeks: u64,
 }
 
 /// A position in the leaf level of a [`BTree`].
@@ -375,6 +379,7 @@ impl<S: PageStore> ReadView<'_, S> {
     /// in `tests/reseek_prop.rs`); only the cost differs.
     pub fn reseek(&self, cur: &mut Cursor, key: &[u8]) -> Result<()> {
         if cur.epoch != self.epoch {
+            cur.stats.full_reseeks += 1;
             metrics(|m| m.reseek_full.inc());
             return self.seek_into(cur, key);
         }
@@ -408,6 +413,7 @@ impl<S: PageStore> ReadView<'_, S> {
         // Lowest retained ancestor covering the target. The root level
         // covers everything, so a non-empty path always yields one.
         let Some(depth) = cur.path.iter().rposition(|lvl| lvl.covers(key)) else {
+            cur.stats.full_reseeks += 1;
             metrics(|m| m.reseek_full.inc());
             return self.seek_into(cur, key);
         };
@@ -427,6 +433,7 @@ impl<S: PageStore> ReadView<'_, S> {
         } else {
             Some(int.seps[ci].clone())
         };
+        cur.stats.lca_reseeks += 1;
         metrics(|m| m.reseek_lca.inc());
         self.descend(cur, depth + 1, child, child_lo, child_hi, key)
     }

@@ -51,9 +51,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Registry handles, resolved once per thread so hot-path increments are a
-/// single `Cell` bump (catalog in DESIGN.md §9). Thread-local because the
-/// telemetry registry itself is: each worker accumulates its own counters
-/// and the coordinator merges them (`telemetry::absorb`).
+/// single atomic add (catalog in DESIGN.md §9). A thread's telemetry
+/// registry is fixed at its first metric, so the per-thread cache always
+/// points into the right one.
 pub(crate) struct TreeMetrics {
     pub(crate) seek_descents: telemetry::Counter,
     pub(crate) seek_nodes: telemetry::Counter,

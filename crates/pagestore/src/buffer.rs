@@ -195,6 +195,10 @@ pub struct QueryStats {
     pub distinct_pages: u64,
     /// Total fetch calls since `begin_query` (revisits included).
     pub node_visits: u64,
+    /// Fetches served from a resident frame.
+    pub hits: u64,
+    /// Fetches that read the backing store.
+    pub misses: u64,
 }
 
 /// Largest `touched` bitmap (one `u64` per page id) carried across
@@ -284,10 +288,9 @@ impl Default for RetryPolicy {
 }
 
 /// Registry handles, resolved once per thread so the hot path pays one
-/// `Cell` bump per event (see DESIGN.md §9 for the catalog). These are
-/// thread-local because the telemetry registry itself is: each worker
-/// thread accumulates its own counters and the coordinator merges them
-/// (see `telemetry::absorb`).
+/// atomic add per event (see DESIGN.md §9 for the catalog). A thread's
+/// telemetry registry is fixed at its first metric, so the per-thread
+/// cache always points into the right one.
 struct PoolMetrics {
     hits: telemetry::Counter,
     misses: telemetry::Counter,
@@ -456,8 +459,16 @@ impl<S: PageStore> BufferPool<S> {
         with_query_state(self.pool_id, |q| q.touched.capacity())
     }
 
-    fn touch_for_query(&self, id: PageId) {
-        with_query_state(self.pool_id, |q| q.touch(id));
+    /// Count a fetch of `id` towards the calling thread's query.
+    fn touch_for_query(&self, id: PageId, hit: bool) {
+        with_query_state(self.pool_id, |q| {
+            q.touch(id);
+            if hit {
+                q.stats.hits += 1;
+            } else {
+                q.stats.misses += 1;
+            }
+        });
     }
 
     /// Read a page, retrying transient [`Error::Io`] failures under the
@@ -519,7 +530,7 @@ impl<S: PageStore> BufferPool<S> {
             frame.last_use.store(shard.clock, Ordering::Relaxed);
             drop(shard);
             self.stats.logical_fetches.fetch_add(1, Ordering::Relaxed);
-            self.touch_for_query(id);
+            self.touch_for_query(id, true);
             metrics(|m| m.hits.inc());
             return Ok(PageRef { frame });
         }
@@ -537,7 +548,7 @@ impl<S: PageStore> BufferPool<S> {
         }
         self.stats.logical_fetches.fetch_add(1, Ordering::Relaxed);
         self.stats.physical_reads.fetch_add(1, Ordering::Relaxed);
-        self.touch_for_query(id);
+        self.touch_for_query(id, false);
         metrics(|m| m.misses.inc());
         let frame = Arc::new(Frame {
             id,
@@ -557,7 +568,7 @@ impl<S: PageStore> BufferPool<S> {
         let id = lock(&self.store).allocate()?;
         self.stats.allocations.fetch_add(1, Ordering::Relaxed);
         metrics(|m| m.allocations.inc());
-        self.touch_for_query(id);
+        with_query_state(self.pool_id, |q| q.touch(id));
         let frame = Arc::new(Frame {
             id,
             data: RwLock::new(vec![0u8; self.page_size].into_boxed_slice()),
@@ -729,6 +740,7 @@ mod tests {
         let qs = p.query_stats();
         assert_eq!(qs.distinct_pages, 2);
         assert_eq!(qs.node_visits, 4);
+        assert_eq!((qs.hits, qs.misses), (4, 0), "allocated pages are resident");
     }
 
     #[test]

@@ -12,24 +12,26 @@
 //! query, so a long-lived server never pins old writer epochs (see the
 //! reader-lifetime tests in `uindex` and `btree`).
 //!
+//! Every server thread runs inside one server-owned telemetry registry,
+//! so [`Server::stats`], the Stats sampler and the final [`ServeReport`]
+//! all read the same live cells; nothing is shipped between threads.
+//!
 //! Shutdown protocol: set the stop flag; the acceptor (non-blocking
 //! accept + poll) exits, connection threads notice via their read
-//! timeouts and close, then workers drain the job queue and exit. Every
-//! thread's telemetry registry is merged into one [`telemetry::Snapshot`]
-//! handed back in the final [`ServeReport`], so counters add up exactly
-//! as if the whole run were single-threaded.
+//! timeouts and close, then workers drain the job queue and exit.
+//! Dropping a [`Server`] runs the same protocol.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pagestore::PageStore;
-use telemetry::Span;
+use telemetry::{Registry, Span};
 use uindex::DatabaseReader;
 
 use crate::admission::{AdmissionGate, Permit};
@@ -76,10 +78,10 @@ pub struct ServeOptions {
     /// competes (the log still retains only the worst N).
     pub slow_query_us: u64,
     /// Worst-N retention of the slow-query log; 0 disables slow-query
-    /// capture entirely (no per-query registry snapshots are taken).
+    /// capture entirely.
     pub slow_log_capacity: usize,
-    /// Sampling interval for the rolling stats window — how often worker
-    /// registries are folded into one interval delta.
+    /// Sampling interval for the rolling stats window — how often the
+    /// server registry is read into one interval delta.
     pub sample_interval: Duration,
     /// Intervals retained by the rolling window (e.g. 60 × 1s).
     pub window_capacity: usize,
@@ -104,20 +106,23 @@ impl Default for ServeOptions {
 }
 
 /// Monotonic counters describing a server's lifetime, readable live via
-/// [`Server::stats`] and returned finally in [`ServeReport`].
+/// [`Server::stats`] and returned finally in [`ServeReport`]. A view: each
+/// field is read from the one place that counts it — the server registry,
+/// the admission gate (`shed`) or the plan cache (hits and misses).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Connections accepted.
     pub connections: u64,
     /// Request frames handled (queries, prepares, pings).
     pub requests: u64,
-    /// Queries executed to completion (success or exec error).
+    /// Queries executed by a worker, whatever the outcome (rows, an exec
+    /// error, or a panic). Shed requests and parse errors never execute.
     pub queries: u64,
     /// Requests shed by admission control.
     pub shed: u64,
     /// Protocol violations observed (fatal and recoverable).
     pub proto_errors: u64,
-    /// Result rows written to clients.
+    /// Result rows produced for clients (the `serve.rows` sum).
     pub rows_sent: u64,
     /// Connections that ended with a transport error (abrupt disconnect),
     /// as opposed to a clean close at a frame boundary.
@@ -137,24 +142,12 @@ pub struct ServeStats {
     pub degraded: bool,
 }
 
-#[derive(Default)]
-struct StatCells {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    queries: AtomicU64,
-    proto_errors: AtomicU64,
-    rows_sent: AtomicU64,
-    disconnects: AtomicU64,
-    deadline_closed: AtomicU64,
-    degraded_answers: AtomicU64,
-}
-
 /// Final accounting handed back by [`Server::shutdown`].
 pub struct ServeReport {
     /// Lifetime counters.
     pub stats: ServeStats,
-    /// Telemetry merged from every server thread (`serve.*` counters,
-    /// query latency/row histograms, execution spans).
+    /// The server registry: `serve.*` counters, query latency and row
+    /// histograms, and the engine metrics recorded while serving.
     pub metrics: telemetry::Snapshot,
 }
 
@@ -172,57 +165,60 @@ struct Job {
     reply: mpsc::Sender<QueryOutcome>,
 }
 
-struct JobQueue {
-    jobs: Mutex<VecDeque<Job>>,
-    cv: Condvar,
+/// Every update under the server's locks leaves its data valid, so a lock
+/// poisoned by a panicking holder is still safe to use.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Outcome of one bounded wait on the job queue.
-enum Pop {
-    /// A job to execute.
-    Job(Job),
-    /// The wait timed out with no work — the worker gets control back so
-    /// it can publish its telemetry snapshot for the sampler.
-    Idle,
-    /// Stop is set and the queue is drained (admitted queries are always
-    /// answered before workers exit).
-    Stopped,
+#[derive(Default)]
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// Set only after every connection thread has been joined, so a late
+    /// job enqueued by a draining connection always finds a live worker.
+    stopped: bool,
+}
+
+#[derive(Default)]
+struct JobQueue {
+    state: Mutex<QueueState>,
+    cv: Condvar,
 }
 
 impl JobQueue {
     fn push(&self, job: Job) {
-        self.jobs.lock().unwrap().push_back(job);
+        lock(&self.state).jobs.push_back(job);
         self.cv.notify_one();
     }
 
-    /// Pop a job, waiting at most one `poll` interval. Unlike a blocking
-    /// pop, this hands control back to the worker on every timeout so the
-    /// worker can service the sampler between jobs.
-    fn pop_timeout(&self, stop: &AtomicBool, poll: Duration) -> Pop {
-        let mut jobs = self.jobs.lock().unwrap();
-        if let Some(job) = jobs.pop_front() {
-            return Pop::Job(job);
+    /// Block until a job arrives. `None` once the queue is stopped *and*
+    /// drained: admitted queries are always answered before workers exit.
+    fn pop(&self) -> Option<Job> {
+        let mut state = lock(&self.state);
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.stopped {
+                return None;
+            }
+            state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
         }
-        if stop.load(Ordering::Acquire) {
-            return Pop::Stopped;
-        }
-        let (mut jobs, _) = self.cv.wait_timeout(jobs, poll).unwrap();
-        if let Some(job) = jobs.pop_front() {
-            return Pop::Job(job);
-        }
-        if stop.load(Ordering::Acquire) {
-            return Pop::Stopped;
-        }
-        Pop::Idle
+    }
+
+    /// Let the workers exit once the queue drains. The flag is set under
+    /// the queue mutex, so no worker can check it, miss it, and then sleep
+    /// through the wakeup.
+    fn stop(&self) {
+        lock(&self.state).stopped = true;
+        self.cv.notify_all();
     }
 }
 
 struct Shared {
     stop: AtomicBool,
-    /// Set only after every connection thread has been joined, so a late
-    /// job enqueued by a draining connection always finds a live worker.
-    stop_workers: AtomicBool,
-    stats: StatCells,
+    /// The registry every server thread records into.
+    registry: Registry,
     gate: Arc<AdmissionGate>,
     cache: PlanCache,
     queue: JobQueue,
@@ -233,8 +229,6 @@ struct Shared {
     /// the index is quarantined and every answer is degraded. Always
     /// `false` for readers without a fallback source.
     degraded_probe: Box<dyn Fn() -> bool + Send + Sync>,
-    /// Telemetry folded in by every server thread as it exits.
-    metrics: Mutex<telemetry::Snapshot>,
     options: ServeOptions,
     /// Monotonic query ids, assigned by workers at execution.
     query_ids: AtomicU64,
@@ -242,27 +236,50 @@ struct Shared {
     slow_log: Mutex<SlowLog>,
     /// Rolling-window sampler state; written by the sampler thread once
     /// per interval, read by Stats handlers. Never held together with
-    /// `slow_log` or a worker slot lock (strict lock ordering: slots →
-    /// sampler, slow_log alone).
+    /// `slow_log` or the queue lock; under it a Stats handler reads only
+    /// the registry, the plan cache and the gate.
     sampler: Mutex<SamplerState>,
-    /// Bumped by the sampler each tick; workers publish their registry
-    /// snapshot into their slot when they see a new epoch.
-    sample_epoch: AtomicU64,
-    /// One publication slot per worker.
-    worker_slots: Vec<WorkerSlot>,
+    /// Live per-worker counters.
+    workers: Vec<WorkerSlot>,
 }
 
 impl Shared {
-    /// Fold this thread's telemetry registry into the server-wide merge.
-    /// Called exactly once, as each server thread exits.
-    fn fold_telemetry(&self) {
-        let snap = telemetry::snapshot();
-        self.metrics.lock().unwrap().merge(&snap);
+    /// The lifetime counters, read live.
+    fn stats(&self) -> ServeStats {
+        let count = |name| self.registry.counter(name).get();
+        let (plan_cache_hits, plan_cache_misses) = self.cache.stats();
+        ServeStats {
+            connections: count("serve.connections"),
+            requests: count("serve.requests"),
+            queries: count("serve.queries"),
+            shed: self.gate.shed(),
+            proto_errors: count("serve.proto_errors"),
+            rows_sent: self.registry.histogram("serve.rows").sum(),
+            disconnects: count("serve.disconnects"),
+            plan_cache_hits,
+            plan_cache_misses,
+            deadline_closed: count("serve.conn.deadline_closed"),
+            degraded_answers: count("serve.degraded_answers"),
+            degraded: (self.degraded_probe)(),
+        }
     }
 }
 
-/// A running UQL server. Dropping it without [`Server::shutdown`] leaks
-/// the background threads; call `shutdown` to stop and join everything.
+/// Spawn a server thread inside the server registry.
+fn spawn(
+    shared: &Arc<Shared>,
+    name: String,
+    body: impl FnOnce(Arc<Shared>) + Send + 'static,
+) -> std::io::Result<JoinHandle<()>> {
+    let shared = Arc::clone(shared);
+    std::thread::Builder::new().name(name).spawn(move || {
+        shared.registry.enter();
+        body(shared)
+    })
+}
+
+/// A running UQL server. [`Server::shutdown`] stops it and returns the
+/// final report; dropping it stops and joins everything the same way.
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: std::net::SocketAddr,
@@ -291,63 +308,48 @@ impl Server {
         let worker_count = options.workers.max(1);
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
-            stop_workers: AtomicBool::new(false),
-            stats: StatCells::default(),
+            registry: Registry::new(),
             gate: AdmissionGate::new(options.max_inflight),
             cache: PlanCache::new(options.plan_cache_capacity),
-            queue: JobQueue {
-                jobs: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-            },
+            queue: JobQueue::default(),
             parse: Box::new(move |text| parse_reader.parse_uql(text).map_err(|e| e.to_string())),
             degraded_probe: Box::new(move || probe_reader.quarantined()),
-            metrics: Mutex::new(telemetry::Snapshot::default()),
             query_ids: AtomicU64::new(0),
             slow_log: Mutex::new(SlowLog::new(options.slow_log_capacity)),
             sampler: Mutex::new(SamplerState::new(
                 options.window_capacity,
                 options.sample_interval,
             )),
-            sample_epoch: AtomicU64::new(0),
-            worker_slots: (0..worker_count).map(|_| WorkerSlot::default()).collect(),
+            workers: (0..worker_count).map(|_| WorkerSlot::default()).collect(),
             options: options.clone(),
         });
 
-        let mut workers = Vec::with_capacity(worker_count);
-        for i in 0..worker_count {
-            let shared = Arc::clone(&shared);
-            let reader = reader.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(reader, shared, i))?,
-            );
-        }
-
-        let sampler = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("serve-sampler".into())
-                .spawn(move || sampler_loop(shared))?
-        };
-
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("serve-acceptor".into())
-                .spawn(move || accept_loop(listener, shared, conns))?
-        };
-
-        Ok(Server {
+        // Built before any thread starts, so a failed spawn drops (and so
+        // stops and joins) whatever already runs.
+        let mut server = Server {
             shared,
             local_addr,
-            acceptor: Some(acceptor),
-            workers,
-            sampler: Some(sampler),
-            conns,
-        })
+            acceptor: None,
+            workers: Vec::with_capacity(worker_count),
+            sampler: None,
+            conns: Arc::new(Mutex::new(Vec::new())),
+        };
+        for i in 0..worker_count {
+            let reader = reader.clone();
+            server.workers.push(spawn(
+                &server.shared,
+                format!("serve-worker-{i}"),
+                move |shared| worker_loop(reader, shared, i),
+            )?);
+        }
+        server.sampler = Some(spawn(&server.shared, "serve-sampler".into(), sampler_loop)?);
+        let conns = Arc::clone(&server.conns);
+        server.acceptor = Some(spawn(
+            &server.shared,
+            "serve-acceptor".into(),
+            move |shared| accept_loop(listener, shared, conns),
+        )?);
+        Ok(server)
     }
 
     /// The bound address (resolves port 0 to the actual ephemeral port).
@@ -363,22 +365,7 @@ impl Server {
 
     /// Live lifetime counters (monotonic; safe to poll while serving).
     pub fn stats(&self) -> ServeStats {
-        let s = &self.shared.stats;
-        let (plan_cache_hits, plan_cache_misses) = self.shared.cache.stats();
-        ServeStats {
-            connections: s.connections.load(Ordering::Relaxed),
-            requests: s.requests.load(Ordering::Relaxed),
-            queries: s.queries.load(Ordering::Relaxed),
-            shed: self.shared.gate.shed(),
-            proto_errors: s.proto_errors.load(Ordering::Relaxed),
-            rows_sent: s.rows_sent.load(Ordering::Relaxed),
-            disconnects: s.disconnects.load(Ordering::Relaxed),
-            plan_cache_hits,
-            plan_cache_misses,
-            deadline_closed: s.deadline_closed.load(Ordering::Relaxed),
-            degraded_answers: s.degraded_answers.load(Ordering::Relaxed),
-            degraded: (self.shared.degraded_probe)(),
-        }
+        self.shared.stats()
     }
 
     /// Whether the served reader is currently quarantined (every answer
@@ -393,31 +380,41 @@ impl Server {
     }
 
     /// Stop accepting, drain in-flight work, join every thread, and
-    /// return the final counters plus merged telemetry.
+    /// return the final counters plus the server registry.
     pub fn shutdown(mut self) -> ServeReport {
+        self.stop_and_join();
+        ServeReport {
+            stats: self.stats(),
+            metrics: self.shared.registry.snapshot(),
+        }
+    }
+
+    fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
         // Connection threads observe the stop flag via their read
         // timeouts; the acceptor has stopped adding new ones.
-        let conns = std::mem::take(&mut *self.conns.lock().unwrap());
+        let conns = std::mem::take(&mut *lock(&self.conns));
         for handle in conns {
             let _ = handle.join();
         }
         // With no connection threads left, no new jobs can arrive;
         // workers drain whatever remains, then exit.
-        self.shared.stop_workers.store(true, Ordering::Release);
-        self.shared.queue.cv.notify_all();
+        self.shared.queue.stop();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
         if let Some(sampler) = self.sampler.take() {
             let _ = sampler.join();
         }
-        let stats = self.stats();
-        let metrics = self.shared.metrics.lock().unwrap().clone();
-        ServeReport { stats, metrics }
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop_and_join();
     }
 }
 
@@ -426,18 +423,14 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, conns: Arc<Mutex<Vec<
     while !shared.stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
-                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                 telemetry::counter("serve.connections").inc();
-                let shared_conn = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name(format!("serve-conn-{next_conn}"))
-                    .spawn(move || connection_loop(stream, shared_conn));
+                let handle = spawn(&shared, format!("serve-conn-{next_conn}"), move |shared| {
+                    connection_loop(stream, shared)
+                });
                 next_conn += 1;
                 match handle {
-                    Ok(h) => conns.lock().unwrap().push(h),
-                    Err(_) => {
-                        shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-                    }
+                    Ok(h) => lock(&conns).push(h),
+                    Err(_) => telemetry::counter("serve.disconnects").inc(),
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -446,7 +439,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, conns: Arc<Mutex<Vec<
             Err(_) => std::thread::sleep(shared.options.poll_interval),
         }
     }
-    shared.fold_telemetry();
 }
 
 /// Read exactly `buf.len()` bytes, re-checking the stop flag on every
@@ -514,7 +506,7 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>) {
             Ok(frame) => frame,
             Err(ProtoError::Closed) => break,
             Err(ProtoError::Io(_)) => {
-                shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
+                telemetry::counter("serve.disconnects").inc();
                 break;
             }
             Err(err) => {
@@ -522,17 +514,14 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                 // errors (unframeable stream) then close; recoverable
                 // ones keep serving this connection.
                 if matches!(err, ProtoError::ReadDeadline) {
-                    shared.stats.deadline_closed.fetch_add(1, Ordering::Relaxed);
                     telemetry::counter("serve.conn.deadline_closed").inc();
                 }
-                shared.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
                 telemetry::counter("serve.proto_errors").inc();
                 let reply = Frame::Error {
                     code: ErrorCode::Proto,
                     message: err.to_string(),
                 };
-                if proto::write_frame(&mut stream, &reply).is_err() {
-                    shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
+                if !send(&mut stream, &reply) {
                     break;
                 }
                 if err.is_fatal() {
@@ -542,39 +531,35 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>) {
             }
         };
 
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         telemetry::counter("serve.requests").inc();
         if !handle_request(&mut stream, frame, &shared) {
             break;
         }
     }
-    shared.fold_telemetry();
+}
+
+/// Write one frame; `false` (counted as a disconnect) when the transport
+/// failed and the connection must close.
+fn send(stream: &mut TcpStream, frame: &Frame) -> bool {
+    let ok = proto::write_frame(stream, frame).is_ok();
+    if !ok {
+        telemetry::counter("serve.disconnects").inc();
+    }
+    ok
 }
 
 /// Handle one request frame; returns `false` when the connection must
 /// close (transport failure writing the response).
 fn handle_request(stream: &mut TcpStream, frame: Frame, shared: &Shared) -> bool {
-    let reply_and_continue = |stream: &mut TcpStream, frame: &Frame| {
-        if proto::write_frame(stream, frame).is_err() {
-            shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-            false
-        } else {
-            true
-        }
-    };
-
     match frame {
-        Frame::Ping => reply_and_continue(stream, &Frame::Pong),
+        Frame::Ping => send(stream, &Frame::Pong),
         Frame::Prepare { uql } => {
             match shared
                 .cache
                 .lookup_or_parse(&uql, |text| parse_plan(shared, text))
             {
-                Ok((id, _, hit)) => {
-                    record_cache_outcome(hit);
-                    reply_and_continue(stream, &Frame::Prepared { id })
-                }
-                Err(msg) => reply_and_continue(
+                Ok((id, _, _)) => send(stream, &Frame::Prepared { id }),
+                Err(msg) => send(
                     stream,
                     &Frame::Error {
                         code: ErrorCode::Parse,
@@ -588,11 +573,8 @@ fn handle_request(stream: &mut TcpStream, frame: Frame, shared: &Shared) -> bool
                 .cache
                 .lookup_or_parse(&uql, |text| parse_plan(shared, text))
             {
-                Ok((_, plan, hit)) => {
-                    record_cache_outcome(hit);
-                    dispatch_query(stream, plan, hit, shared)
-                }
-                Err(msg) => reply_and_continue(
+                Ok((_, plan, hit)) => dispatch_query(stream, plan, hit, shared),
+                Err(msg) => send(
                     stream,
                     &Frame::Error {
                         code: ErrorCode::Parse,
@@ -603,7 +585,7 @@ fn handle_request(stream: &mut TcpStream, frame: Frame, shared: &Shared) -> bool
         }
         Frame::Execute { id } => match shared.cache.by_id(id) {
             Some(plan) => dispatch_query(stream, plan, true, shared),
-            None => reply_and_continue(
+            None => send(
                 stream,
                 &Frame::Error {
                     code: ErrorCode::UnknownStatement,
@@ -617,13 +599,13 @@ fn handle_request(stream: &mut TcpStream, frame: Frame, shared: &Shared) -> bool
         // must still answer Stats; that is the whole point of the frame.
         Frame::Stats { window_s } => {
             let json = build_stats_reply(shared, window_s);
-            reply_and_continue(stream, &Frame::StatsReply { json })
+            send(stream, &Frame::StatsReply { json })
         }
         Frame::Trace { id } => {
-            let entry = shared.slow_log.lock().unwrap().get(id);
+            let entry = lock(&shared.slow_log).get(id);
             match entry {
-                Some(e) => reply_and_continue(stream, &Frame::TraceReply { json: e.to_json() }),
-                None => reply_and_continue(
+                Some(e) => send(stream, &Frame::TraceReply { json: e.to_json() }),
+                None => send(
                     stream,
                     &Frame::Error {
                         code: ErrorCode::NotFound,
@@ -641,9 +623,8 @@ fn handle_request(stream: &mut TcpStream, frame: Frame, shared: &Shared) -> bool
         | Frame::Prepared { .. }
         | Frame::StatsReply { .. }
         | Frame::TraceReply { .. }) => {
-            shared.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
             telemetry::counter("serve.proto_errors").inc();
-            reply_and_continue(
+            send(
                 stream,
                 &Frame::Error {
                     code: ErrorCode::Proto,
@@ -668,28 +649,8 @@ fn handle_request(stream: &mut TcpStream, frame: Frame, shared: &Shared) -> bool
 /// Gather every input for a `StatsReply` without touching the admission
 /// gate, the worker pool, or the buffer pool, and build the document.
 fn build_stats_reply(shared: &Shared, window_s: u32) -> String {
-    let s = &shared.stats;
-    let (plan_cache_hits, plan_cache_misses) = shared.cache.stats();
-    let live = LiveStats {
-        connections: s.connections.load(Ordering::Relaxed),
-        requests: s.requests.load(Ordering::Relaxed),
-        queries: s.queries.load(Ordering::Relaxed),
-        shed: shared.gate.shed(),
-        proto_errors: s.proto_errors.load(Ordering::Relaxed),
-        rows_sent: s.rows_sent.load(Ordering::Relaxed),
-        disconnects: s.disconnects.load(Ordering::Relaxed),
-        deadline_closed: s.deadline_closed.load(Ordering::Relaxed),
-        plan_cache_hits,
-        plan_cache_misses,
-        inflight: shared.gate.inflight(),
-        queued: shared.queue.jobs.lock().unwrap().len(),
-        max_inflight: shared.gate.limit(),
-        workers: shared.worker_slots.len(),
-        degraded_answers: s.degraded_answers.load(Ordering::Relaxed),
-        degraded: (shared.degraded_probe)(),
-    };
     let workers: Vec<(u64, u64)> = shared
-        .worker_slots
+        .workers
         .iter()
         .map(|w| {
             (
@@ -698,8 +659,18 @@ fn build_stats_reply(shared: &Shared, window_s: u32) -> String {
             )
         })
         .collect();
-    let slow = shared.slow_log.lock().unwrap().entries();
-    let sampler = shared.sampler.lock().unwrap();
+    let slow = lock(&shared.slow_log).entries();
+    let queued = lock(&shared.queue.state).jobs.len();
+    // Live values are read under the sampler lock, after the sampler's
+    // last read of the same cells: a sampled tally never exceeds live.
+    let sampler = lock(&shared.sampler);
+    let live = LiveStats {
+        stats: shared.stats(),
+        inflight: shared.gate.inflight(),
+        queued,
+        max_inflight: shared.gate.limit(),
+        workers: shared.workers.len(),
+    };
     stats::build_stats_json(&sampler, window_s, &live, &workers, &slow)
 }
 
@@ -714,7 +685,6 @@ fn dispatch_query(
     // Admission first: a shed request must cost nothing downstream — no
     // worker dispatch, no snapshot, no buffer-pool traffic.
     let Some(permit) = shared.gate.try_admit() else {
-        telemetry::counter("serve.shed").inc();
         let reply = Frame::Error {
             code: ErrorCode::Overloaded,
             message: format!(
@@ -722,14 +692,9 @@ fn dispatch_query(
                 shared.gate.limit()
             ),
         };
-        if proto::write_frame(stream, &reply).is_err() {
-            shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        return true;
+        return send(stream, &reply);
     };
 
-    telemetry::counter("serve.queries").inc();
     let (tx, rx) = mpsc::channel();
     shared.queue.push(Job {
         plan,
@@ -746,75 +711,26 @@ fn dispatch_query(
 
     match result {
         Ok((rows, done)) => {
-            shared
-                .stats
-                .rows_sent
-                .fetch_add(done.rows, Ordering::Relaxed);
-            for chunk in rows.chunks(BATCH_ROWS.max(1)) {
+            rows.chunks(BATCH_ROWS.max(1)).all(|chunk| {
                 let frame = Frame::RowBatch {
                     rows: chunk.to_vec(),
                 };
-                if proto::write_frame(stream, &frame).is_err() {
-                    shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-            }
-            if proto::write_frame(stream, &Frame::Done(done)).is_err() {
-                shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            true
+                send(stream, &frame)
+            }) && send(stream, &Frame::Done(done))
         }
-        Err((code, message)) => {
-            let reply = Frame::Error { code, message };
-            if proto::write_frame(stream, &reply).is_err() {
-                shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            true
-        }
-    }
-}
-
-fn record_cache_outcome(hit: bool) {
-    if hit {
-        telemetry::counter("serve.plan_cache.hits").inc();
-    } else {
-        telemetry::counter("serve.plan_cache.misses").inc();
+        Err((code, message)) => send(stream, &Frame::Error { code, message }),
     }
 }
 
 /// Worker loop: each worker owns a reader clone and executes queries
 /// against a fresh snapshot pinned only for the duration of one query.
-///
-/// Between jobs the worker services the sampler: when the sample epoch
-/// advances, it publishes its full thread-local registry snapshot into
-/// its [`WorkerSlot`]. Publication is opportunistic — a worker stuck in
-/// a long query publishes late and the sampler merges its previous
-/// snapshot meanwhile, which under-reports but never over-reports.
 fn worker_loop<P: PageStore + Send + Sync>(
     reader: DatabaseReader<P>,
     shared: Arc<Shared>,
     index: usize,
 ) {
-    let slot = &shared.worker_slots[index];
-    let mut last_epoch = 0u64;
-    loop {
-        let epoch = shared.sample_epoch.load(Ordering::Acquire);
-        if epoch != last_epoch {
-            *slot.snap.lock().unwrap() = telemetry::snapshot();
-            slot.published.store(epoch, Ordering::Release);
-            last_epoch = epoch;
-        }
-
-        let job = match shared
-            .queue
-            .pop_timeout(&shared.stop_workers, shared.options.poll_interval)
-        {
-            Pop::Job(job) => job,
-            Pop::Idle => continue,
-            Pop::Stopped => break,
-        };
+    let slot = &shared.workers[index];
+    while let Some(job) = shared.queue.pop() {
         let Job {
             plan,
             cached,
@@ -823,12 +739,6 @@ fn worker_loop<P: PageStore + Send + Sync>(
         } = job;
 
         let id = shared.query_ids.fetch_add(1, Ordering::Relaxed) + 1;
-        // Slow-query capture needs a registry snapshot *before* execution
-        // so the entry can carry the per-query delta; skip the cost
-        // entirely when the log is disabled.
-        let slow_enabled = shared.options.slow_log_capacity > 0;
-        let before = slow_enabled.then(telemetry::snapshot);
-
         let snap = reader.snapshot();
         let snapshot_epoch = snap.epoch();
         let started = Instant::now();
@@ -843,12 +753,12 @@ fn worker_loop<P: PageStore + Send + Sync>(
             }))
         };
         let micros = started.elapsed().as_micros() as u64;
-        shared.stats.queries.fetch_add(1, Ordering::Relaxed);
+        telemetry::counter("serve.queries").inc();
         telemetry::histogram("serve.query_us").record(micros);
         slot.queries.fetch_add(1, Ordering::Relaxed);
         slot.busy_us.fetch_add(micros, Ordering::Relaxed);
 
-        let mut executed = None; // (rows, ScanStats) on success
+        let mut executed = None; // (rows, QueryTrace) on success
         let outcome = match result {
             Err(panic) => {
                 telemetry::counter("serve.worker.panics").inc();
@@ -858,29 +768,15 @@ fn worker_loop<P: PageStore + Send + Sync>(
                 ))
             }
             Ok(Err(e)) => Err((error_code_for(&e), e.to_string())),
-            Ok(Ok((hits, stats, degraded))) => {
+            Ok(Ok((hits, stats, trace, degraded))) => {
                 if degraded {
-                    shared
-                        .stats
-                        .degraded_answers
-                        .fetch_add(1, Ordering::Relaxed);
                     telemetry::counter("serve.degraded_answers").inc();
                 }
-                executed = Some((hits.len() as u64, stats));
-                let mut rows = Vec::with_capacity(hits.len());
-                let mut encode_err = None;
-                for hit in &hits {
-                    match WireRow::from_hit(hit) {
-                        Ok(row) => rows.push(row),
-                        Err(e) => {
-                            encode_err = Some((ErrorCode::Exec, e.to_string()));
-                            break;
-                        }
-                    }
-                }
-                match encode_err {
-                    Some(err) => Err(err),
-                    None => {
+                executed = Some((hits.len() as u64, trace));
+                let rows: Result<Vec<WireRow>, _> = hits.iter().map(WireRow::from_hit).collect();
+                match rows {
+                    Err(e) => Err((ErrorCode::Exec, e.to_string())),
+                    Ok(rows) => {
                         telemetry::histogram("serve.rows").record(rows.len() as u64);
                         Ok((
                             rows,
@@ -900,17 +796,15 @@ fn worker_loop<P: PageStore + Send + Sync>(
         };
 
         if micros >= shared.options.slow_query_us {
-            if let (Some(before), Some((rows, stats))) = (before, executed) {
-                let delta = telemetry::snapshot().delta(&before);
-                shared.slow_log.lock().unwrap().offer(SlowQueryEntry {
+            if let Some((rows, trace)) = executed {
+                lock(&shared.slow_log).offer(SlowQueryEntry {
                     id,
                     uql: plan.text.clone(),
                     micros,
                     rows,
                     cached_plan: cached,
                     snapshot_epoch,
-                    stats,
-                    delta,
+                    trace,
                 });
             }
         }
@@ -921,56 +815,31 @@ fn worker_loop<P: PageStore + Send + Sync>(
         let _ = reply.send(outcome);
         drop(permit);
     }
-    shared.fold_telemetry();
 }
 
-/// Sampler loop: once per `sample_interval`, bump the epoch, give the
-/// workers a bounded head start to publish, then fold their latest
-/// snapshots into the rolling window. The wall clock lives only here —
-/// the window itself (and everything Stats computes from it) is a pure
-/// function of the pushed intervals.
+/// Sampler loop: once per `sample_interval`, read the server registry
+/// into the rolling window. The wall clock lives only here — the window
+/// itself (and everything Stats computes from it) is a pure function of
+/// the pushed intervals.
 fn sampler_loop(shared: Arc<Shared>) {
     let interval = shared.options.sample_interval.max(Duration::from_millis(1));
     let poll = shared.options.poll_interval.max(Duration::from_millis(1));
-    let mut epoch = 0u64;
     loop {
         // Sleep one interval in poll-size chunks so shutdown is prompt.
         let wake = Instant::now() + interval;
         loop {
             let now = Instant::now();
-            if now >= wake || shared.stop_workers.load(Ordering::Acquire) {
+            if now >= wake || shared.stop.load(Ordering::Acquire) {
                 break;
             }
             std::thread::sleep(poll.min(wake - now));
         }
-        if shared.stop_workers.load(Ordering::Acquire) {
+        if shared.stop.load(Ordering::Acquire) {
             break;
         }
-
-        epoch += 1;
-        shared.sample_epoch.store(epoch, Ordering::Release);
-        // Nudge idle workers out of their queue wait so they publish
-        // promptly even with long poll intervals.
-        shared.queue.cv.notify_all();
-        let deadline = Instant::now() + poll * 4;
-        while Instant::now() < deadline {
-            let all_published = shared
-                .worker_slots
-                .iter()
-                .all(|s| s.published.load(Ordering::Acquire) >= epoch);
-            if all_published {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-
-        let mut merged = telemetry::Snapshot::default();
-        for slot in &shared.worker_slots {
-            merged.merge(&slot.snap.lock().unwrap());
-        }
-        shared.sampler.lock().unwrap().advance(merged);
+        let snap = shared.registry.snapshot();
+        lock(&shared.sampler).advance(snap);
     }
-    shared.fold_telemetry();
 }
 
 fn parse_plan(shared: &Shared, text: &str) -> Result<uindex::Query, String> {

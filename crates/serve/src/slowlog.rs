@@ -1,8 +1,8 @@
 //! Server-side slow-query log: a bounded ring of the N *worst* queries by
 //! latency, each entry carrying everything an after-the-fact EXPLAIN
 //! ANALYZE needs — the monotonically-assigned query id, the normalized
-//! UQL text, the snapshot epoch it ran against, the [`ScanStats`] cost
-//! counters, and the per-query telemetry registry delta.
+//! UQL text, the snapshot epoch it ran against, and the query's
+//! [`QueryTrace`] (its cost counters, reseek tiers and pool hits/misses).
 //!
 //! Eviction policy: entries are kept sorted worst-first; a new entry that
 //! beats the current floor evicts the cheapest logged query. Ties on
@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use telemetry::json;
-use uindex::ScanStats;
+use uindex::QueryTrace;
 
 /// One logged query, immutable once inserted (shared with concurrent
 /// `Trace` readers via `Arc`).
@@ -33,11 +33,9 @@ pub struct SlowQueryEntry {
     pub cached_plan: bool,
     /// The writer epoch of the snapshot the query executed against.
     pub snapshot_epoch: u64,
-    /// Scan cost counters, exactly as returned to the client in `Done`.
-    pub stats: ScanStats,
-    /// Telemetry registry delta over the execution — the counters a live
-    /// `EXPLAIN ANALYZE` of this query would have reported.
-    pub delta: telemetry::Snapshot,
+    /// The executed trace — the numbers a live `EXPLAIN ANALYZE` of this
+    /// query would have reported (no span tree).
+    pub trace: QueryTrace,
 }
 
 impl SlowQueryEntry {
@@ -53,9 +51,10 @@ impl SlowQueryEntry {
         )
     }
 
-    /// Full entry for the `TraceReply` payload.
+    /// Full entry for the `TraceReply` payload: `scan_stats` holds the
+    /// counters the client saw in `Done`, `trace` the breakdowns.
     pub fn to_json(&self) -> String {
-        let s = &self.stats;
+        let t = &self.trace;
         let mut out = String::new();
         let _ = write!(
             out,
@@ -73,15 +72,26 @@ impl SlowQueryEntry {
             "  \"scan_stats\": {{\"pages_read\": {}, \"node_visits\": {}, \
              \"entries_examined\": {}, \"matches\": {}, \"seeks\": {}, \"descents\": {}, \
              \"reseek_depth_total\": {}}},",
-            s.pages_read,
-            s.node_visits,
-            s.entries_examined,
-            s.matches,
-            s.seeks,
-            s.descents,
-            s.reseek_depth_total
+            t.pages_read,
+            t.node_visits,
+            t.entries_examined,
+            t.matches,
+            t.skips,
+            t.descents,
+            t.reseek_depth_total
         );
-        let _ = write!(out, "  \"delta\": {}\n}}", self.delta.to_json());
+        let _ = write!(
+            out,
+            "  \"trace\": {{\"partial_keys_expanded\": {}, \"reseeks_leaf\": {}, \
+             \"reseeks_lca\": {}, \"reseeks_full\": {}, \"pool_hits\": {}, \
+             \"pool_misses\": {}}}\n}}",
+            t.partial_keys_expanded,
+            t.reseeks_leaf,
+            t.reseeks_lca,
+            t.reseeks_full,
+            t.pool_hits,
+            t.pool_misses
+        );
         out
     }
 }
@@ -154,8 +164,7 @@ mod tests {
             rows: id,
             cached_plan: false,
             snapshot_epoch: 1,
-            stats: ScanStats::default(),
-            delta: telemetry::Snapshot::default(),
+            trace: QueryTrace::default(),
         }
     }
 
@@ -195,7 +204,7 @@ mod tests {
         assert_eq!(parsed.get("id").and_then(|v| v.as_u64()), Some(7));
         assert_eq!(parsed.get("micros").and_then(|v| v.as_u64()), Some(1234));
         assert!(parsed.get("scan_stats").is_some());
-        assert!(parsed.get("delta").is_some());
+        assert!(parsed.get("trace").is_some());
         let sum = json::parse(&e.summary_json()).expect("summary JSON parses");
         assert_eq!(sum.get("uql").and_then(|v| v.as_str()), Some("q7"));
     }

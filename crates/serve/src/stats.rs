@@ -1,40 +1,33 @@
-//! Live-stats plumbing: per-worker snapshot slots the sampler polls, the
-//! rolling-window sampler state, and the `StatsReply` JSON builder.
+//! Live-stats plumbing: per-worker counters, the rolling-window sampler
+//! state, and the `StatsReply` JSON builder.
 //!
 //! Division of labor with `server.rs`: the server owns the threads (the
-//! sampler loop, the workers publishing into their slots) and gathers the
-//! live atomic counters; this module owns the *data* — how interval
-//! deltas are derived from cumulative worker snapshots, how windows are
-//! folded, and how the reply document is laid out. Everything here is
-//! clock-free and deterministic, so the window math is testable with
-//! synthetic snapshots.
+//! sampler loop reading the server registry) and gathers the live
+//! counters; this module owns the *data* — how interval deltas are derived
+//! from cumulative registry snapshots, how windows are folded, and how the
+//! reply document is laid out. Everything here is clock-free and
+//! deterministic, so the window math is testable with synthetic snapshots.
 
 use std::fmt::Write as _;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use telemetry::{json, RollingWindow, Snapshot};
 
+use crate::server::ServeStats;
 use crate::slowlog::SlowQueryEntry;
 
-/// Histogram names the window math consumes.
+/// Metric names the window math consumes.
+const QUERIES: &str = "serve.queries";
 const QUERY_US: &str = "serve.query_us";
 const ROWS: &str = "serve.rows";
 const POOL_HITS: &str = "pagestore.pool.hits";
 const POOL_MISSES: &str = "pagestore.pool.misses";
 
-/// One worker's publication slot. The worker overwrites `snap` with its
-/// full (cumulative) thread-local registry snapshot whenever the sampler
-/// bumps the epoch; the sampler merges whatever was last published, so a
-/// worker stuck in a long query simply contributes its previous snapshot
-/// until it surfaces.
+/// One worker's live counters (per worker, so not registry metrics).
 #[derive(Default)]
 pub struct WorkerSlot {
-    /// Latest cumulative registry snapshot published by this worker.
-    pub snap: Mutex<Snapshot>,
-    /// The sample epoch `snap` was published for (lags during long queries).
-    pub published: AtomicU64,
     /// Queries this worker has finished (live atomic, not sampled).
     pub queries: AtomicU64,
     /// Microseconds this worker has spent executing (live atomic).
@@ -42,12 +35,12 @@ pub struct WorkerSlot {
 }
 
 /// Sampler-owned state: the rolling window of interval deltas plus the
-/// cumulative merge the deltas are computed against. Guarded by one mutex
-/// in `Shared`; the sampler writes once per interval, Stats handlers read.
+/// cumulative snapshot the deltas are computed against. Guarded by one
+/// mutex in `Shared`; the sampler writes once per interval, Stats handlers
+/// read.
 pub struct SamplerState {
     window: RollingWindow,
-    /// Merge of the most recent published snapshot from every worker.
-    /// Monotone because each worker's registry is monotone.
+    /// The server registry as last read. Monotone because its counters are.
     cumulative: Snapshot,
     interval: Duration,
 }
@@ -61,13 +54,13 @@ impl SamplerState {
         }
     }
 
-    /// Fold one sampling tick: `merged` is the merge of every worker's
-    /// latest published snapshot. The interval delta (vs the previous
-    /// cumulative) goes into the window; `merged` becomes the new basis.
-    pub fn advance(&mut self, merged: Snapshot) {
-        let delta = merged.delta(&self.cumulative);
+    /// Fold one sampling tick: `now` is a fresh read of the server
+    /// registry. The interval delta (vs the previous cumulative) goes into
+    /// the window; `now` becomes the new basis.
+    pub fn advance(&mut self, now: Snapshot) {
+        let delta = now.delta(&self.cumulative);
         self.window.push(delta);
-        self.cumulative = merged;
+        self.cumulative = now;
     }
 
     pub fn window(&self) -> &RollingWindow {
@@ -88,29 +81,16 @@ impl SamplerState {
     }
 }
 
-/// Live (un-sampled) counter values the server reads straight from its
-/// atomics at Stats time. Always current, unlike the sampled window.
+/// Live (un-sampled) values the server reads at Stats time. Always
+/// current, unlike the sampled window.
 #[derive(Debug, Clone, Default)]
 pub struct LiveStats {
-    pub connections: u64,
-    pub requests: u64,
-    pub queries: u64,
-    pub shed: u64,
-    pub proto_errors: u64,
-    pub rows_sent: u64,
-    pub disconnects: u64,
-    pub deadline_closed: u64,
-    pub plan_cache_hits: u64,
-    pub plan_cache_misses: u64,
+    /// The lifetime counters, as [`crate::Server::stats`] reports them.
+    pub stats: ServeStats,
     pub inflight: usize,
     pub queued: usize,
     pub max_inflight: usize,
     pub workers: usize,
-    /// Queries answered from the degraded fallback path so far.
-    pub degraded_answers: u64,
-    /// Whether the served index is currently quarantined (every answer
-    /// degraded until a clean check).
-    pub degraded: bool,
 }
 
 fn hist_count(s: &Snapshot, name: &str) -> u64 {
@@ -168,6 +148,7 @@ pub fn build_stats_json(
     let pool_misses = counter(&win, POOL_MISSES);
 
     let cum = sampler.cumulative();
+    let s = &live.stats;
 
     let mut out = String::with_capacity(1024);
     let _ = write!(
@@ -193,7 +174,7 @@ pub fn build_stats_json(
         out,
         "  \"cumulative\": {{\"queries\": {}, \"rows\": {}, \"query_us_sum\": {}, \
          \"pool_hits\": {}, \"pool_misses\": {}}},",
-        hist_count(cum, QUERY_US),
+        counter(cum, QUERIES),
         hist_sum(cum, ROWS),
         hist_sum(cum, QUERY_US),
         counter(cum, POOL_HITS),
@@ -206,23 +187,23 @@ pub fn build_stats_json(
          \"plan_cache_hits\": {}, \"plan_cache_misses\": {}, \"plan_cache_hit_rate\": {:.4}, \
          \"inflight\": {}, \"queued\": {}, \"max_inflight\": {}, \"workers\": {}, \
          \"degraded_answers\": {}, \"degraded\": {}}},",
-        live.connections,
-        live.requests,
-        live.queries,
-        live.shed,
-        live.proto_errors,
-        live.rows_sent,
-        live.disconnects,
-        live.deadline_closed,
-        live.plan_cache_hits,
-        live.plan_cache_misses,
-        ratio(live.plan_cache_hits, live.plan_cache_misses),
+        s.connections,
+        s.requests,
+        s.queries,
+        s.shed,
+        s.proto_errors,
+        s.rows_sent,
+        s.disconnects,
+        s.deadline_closed,
+        s.plan_cache_hits,
+        s.plan_cache_misses,
+        ratio(s.plan_cache_hits, s.plan_cache_misses),
         live.inflight,
         live.queued,
         live.max_inflight,
         live.workers,
-        live.degraded_answers,
-        live.degraded,
+        s.degraded_answers,
+        s.degraded,
     );
     out.push_str("  \"workers\": [");
     for (i, (queries, busy_us)) in workers.iter().enumerate() {
@@ -269,6 +250,7 @@ mod tests {
                 buckets: vec![(2, 3, n)],
             },
         );
+        s.counters.insert(QUERIES.into(), n);
         s.counters.insert(POOL_HITS.into(), pool_hits);
         s.counters.insert(POOL_MISSES.into(), pool_hits / 4);
         s
@@ -332,7 +314,10 @@ mod tests {
     fn empty_sampler_yields_parseable_zeros() {
         let st = SamplerState::new(60, Duration::from_secs(1));
         let live = LiveStats {
-            shed: 7,
+            stats: ServeStats {
+                shed: 7,
+                ..ServeStats::default()
+            },
             max_inflight: 0,
             ..LiveStats::default()
         };

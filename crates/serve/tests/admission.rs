@@ -1,6 +1,6 @@
 //! Admission-control battery: the gate as a unit, then against a live
 //! server — saturate the bound and every excess request must get a typed
-//! `Overloaded`, the `serve.shed` telemetry must match the gate's count,
+//! `Overloaded`, the server's shed count must match the number shed,
 //! accepted queries must be unaffected, and a shed request must never
 //! touch the buffer pool.
 
@@ -117,9 +117,6 @@ fn saturated_gate_sheds_with_typed_overloaded() {
 
     let report = server.shutdown();
     assert_eq!(report.stats.shed, 4);
-    // Telemetry lockstep: the merged `serve.shed` counter equals the
-    // gate's count exactly.
-    assert_eq!(report.metrics.counters.get("serve.shed"), Some(&4));
     assert_eq!(report.stats.queries, 1);
 }
 
@@ -178,7 +175,6 @@ fn shed_requests_never_touch_the_buffer_pool() {
 
     let report = server.shutdown();
     assert_eq!(report.stats.shed, 26);
-    assert_eq!(report.metrics.counters.get("serve.shed"), Some(&26));
     assert_eq!(report.stats.queries, 0, "nothing may reach the workers");
     assert_eq!(report.stats.rows_sent, 0);
 }

@@ -177,11 +177,16 @@ fn slow_log_records_and_trace_replays() {
         Some(UQL),
         "entry carries the normalized statement"
     );
-    assert!(t.get("scan_stats").is_some());
-    assert!(
-        t.get("delta").and_then(|d| d.get("histograms")).is_some(),
-        "entry carries the per-query registry delta"
+    // The entry carries the query's own trace: its page fetches split
+    // into pool hits and misses, and its entries were examined.
+    let pages = ju64(&t, &["scan_stats", "node_visits"]);
+    assert!(pages > 0, "a scan fetches at least one page");
+    assert_eq!(
+        ju64(&t, &["trace", "pool_hits"]) + ju64(&t, &["trace", "pool_misses"]),
+        pages,
+        "every page fetch is a pool hit or a miss"
     );
+    assert!(ju64(&t, &["scan_stats", "entries_examined"]) > 0);
     assert!(ju64(&t, &["snapshot_epoch"]) > 0);
 
     // Unknown id: typed NotFound, connection stays healthy.

@@ -1,25 +1,33 @@
-//! Process-local metrics and span tracing for the uindex workspace.
+//! Metrics and span tracing for the uindex workspace.
 //!
-//! The registry is **thread-local**: every thread accumulates its own
-//! independent set of metrics with zero synchronization on the hot path
-//! (and each `cargo test` thread gets automatic isolation). Multi-threaded
-//! work rolls up explicitly: each worker takes a [`snapshot()`] of its own
-//! registry when it finishes, and the coordinator combines them with
-//! [`Snapshot::merge`] or folds them into its own registry with
-//! [`absorb`]. The JSON export is unchanged — a merged snapshot serializes
-//! bit-identically to the same events recorded on one thread.
+//! Metrics live in a [`Registry`]: a named set of counters, gauges and
+//! histograms whose cells are atomics, so any thread may record into any
+//! registry and a reader sees live values without a hand-off. Every thread
+//! has a *current* registry, which the free functions ([`counter`],
+//! [`snapshot`], [`reset`], ...) resolve against:
 //!
-//! Three metric kinds live in a named registry:
+//! - By default a thread gets its own fresh registry on first use, so each
+//!   `cargo test` thread (and each bench) is isolated automatically.
+//! - A thread can instead [`Registry::enter`] a shared registry before it
+//!   records anything. A server starts all of its threads inside one
+//!   registry; `uindex::parallel_query` starts its workers inside the
+//!   caller's. Aggregate numbers are then a plain [`Registry::snapshot`].
 //!
-//! - [`Counter`] — monotonic `u64`, cheap `Rc<Cell<_>>` handle. Resolve the
-//!   handle once (at struct construction) and keep it in a field; `inc()` on
-//!   the hot path is a single `Cell` bump.
+//! Entering a registry after the thread has already used its current one
+//! panics: handles cached per thread (the buffer pool's and the B-tree's)
+//! would otherwise keep pointing at the old registry.
+//!
+//! Three metric kinds:
+//!
+//! - [`Counter`] — monotonic `u64`. Resolve the handle once and keep it;
+//!   `inc()` on the hot path is one relaxed `fetch_add`.
 //! - [`Gauge`] — signed instantaneous value.
 //! - [`Histogram`] — 65 log₂ buckets: bucket 0 holds the value 0, bucket *b*
 //!   (*b ≥ 1*) covers `[2^(b-1), 2^b - 1]`, bucket 64 tops out at `u64::MAX`.
 //!
-//! [`reset()`] zeroes every metric *through the shared handles*, so handles
-//! cached in long-lived structs stay valid across queries.
+//! Each cell sits on its own cache line, so cells bumped by different
+//! threads never share one. [`reset()`] zeroes every metric *through the
+//! shared handles*, so cached handles stay valid across queries.
 //!
 //! Span tracing is a thread-local stack of RAII guards: `Span::enter("scan")`
 //! starts a timed frame, dropping the guard closes it and attaches it to its
@@ -31,19 +39,25 @@ pub mod window;
 
 pub use window::RollingWindow;
 
-use std::cell::{Cell, RefCell};
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Metric handles
 // ---------------------------------------------------------------------------
 
+/// A value alone on its cache line (no false sharing between cells).
+#[derive(Default)]
+#[repr(align(64))]
+struct Padded<T>(T);
+
 /// Monotonic counter. Clone is cheap and shares the underlying cell.
 #[derive(Clone, Default)]
-pub struct Counter(Rc<Cell<u64>>);
+pub struct Counter(Arc<Padded<AtomicU64>>);
 
 impl Counter {
     pub fn inc(&self) {
@@ -51,66 +65,62 @@ impl Counter {
     }
 
     pub fn add(&self, n: u64) {
-        self.0.set(self.0.get().wrapping_add(n));
+        self.0 .0.fetch_add(n, Relaxed);
     }
 
     pub fn get(&self) -> u64 {
-        self.0.get()
+        self.0 .0.load(Relaxed)
     }
 
     fn zero(&self) {
-        self.0.set(0);
+        self.0 .0.store(0, Relaxed);
     }
 }
 
 /// Signed instantaneous value.
 #[derive(Clone, Default)]
-pub struct Gauge(Rc<Cell<i64>>);
+pub struct Gauge(Arc<Padded<AtomicI64>>);
 
 impl Gauge {
     pub fn set(&self, v: i64) {
-        self.0.set(v);
+        self.0 .0.store(v, Relaxed);
     }
 
     pub fn add(&self, d: i64) {
-        self.0.set(self.0.get().wrapping_add(d));
+        self.0 .0.fetch_add(d, Relaxed);
     }
 
     pub fn get(&self) -> i64 {
-        self.0.get()
+        self.0 .0.load(Relaxed)
     }
 
     fn zero(&self) {
-        self.0.set(0);
+        self.0 .0.store(0, Relaxed);
     }
 }
 
 /// Number of log₂ buckets: one for zero plus one per bit position.
 pub const HIST_BUCKETS: usize = 65;
 
-struct HistData {
-    buckets: [u64; HIST_BUCKETS],
-    count: u64,
-    sum: u64,
-}
-
-impl HistData {
-    fn new() -> Self {
-        HistData {
-            buckets: [0; HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
+/// Histogram cells. The sample count is the bucket total rather than a
+/// cell of its own, so a concurrent snapshot can never see a count that
+/// disagrees with its buckets.
+#[repr(align(64))]
+struct HistCells {
+    buckets: [AtomicU64; HIST_BUCKETS],
+    sum: AtomicU64,
 }
 
 /// Log₂-bucket histogram of `u64` samples.
 #[derive(Clone)]
-pub struct Histogram(Rc<RefCell<HistData>>);
+pub struct Histogram(Arc<HistCells>);
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram(Rc::new(RefCell::new(HistData::new())))
+        Histogram(Arc::new(HistCells {
+            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
+            sum: AtomicU64::new(0),
+        }))
     }
 }
 
@@ -137,45 +147,32 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
 
 impl Histogram {
     pub fn record(&self, v: u64) {
-        let mut d = self.0.borrow_mut();
-        d.buckets[bucket_index(v)] += 1;
-        d.count += 1;
-        d.sum = d.sum.wrapping_add(v);
+        self.0.sum.fetch_add(v, Relaxed);
+        self.0.buckets[bucket_index(v)].fetch_add(1, Relaxed);
     }
 
     pub fn count(&self) -> u64 {
-        self.0.borrow().count
+        self.bucket_counts().iter().sum()
     }
 
     pub fn sum(&self) -> u64 {
-        self.0.borrow().sum
+        self.0.sum.load(Relaxed)
     }
 
     pub fn bucket_counts(&self) -> [u64; HIST_BUCKETS] {
-        self.0.borrow().buckets
+        std::array::from_fn(|i| self.0.buckets[i].load(Relaxed))
     }
 
     fn zero(&self) {
-        *self.0.borrow_mut() = HistData::new();
-    }
-
-    /// Fold a snapshot's samples into this histogram. Snapshot buckets are
-    /// keyed by their bounds, which map back to bucket indices exactly, so
-    /// absorbing is lossless with respect to the log₂ resolution; the exact
-    /// sum is carried over from the snapshot.
-    fn absorb(&self, snap: &HistogramSnapshot) {
-        let mut d = self.0.borrow_mut();
-        for &(lo, _, c) in &snap.buckets {
-            d.buckets[bucket_index(lo)] += c;
+        for b in &self.0.buckets {
+            b.store(0, Relaxed);
         }
-        d.count += snap.count;
-        d.sum = d.sum.wrapping_add(snap.sum);
+        self.0.sum.store(0, Relaxed);
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
-        let d = self.0.borrow();
-        let buckets = d
-            .buckets
+        let counts = self.bucket_counts();
+        let buckets = counts
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
@@ -185,8 +182,8 @@ impl Histogram {
             })
             .collect();
         HistogramSnapshot {
-            count: d.count,
-            sum: d.sum,
+            count: counts.iter().sum(),
+            sum: self.sum(),
             buckets,
         }
     }
@@ -197,30 +194,119 @@ impl Histogram {
 // ---------------------------------------------------------------------------
 
 #[derive(Default)]
-struct Registry {
+struct Metrics {
     counters: BTreeMap<&'static str, Counter>,
     gauges: BTreeMap<&'static str, Gauge>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
+/// A named set of metrics. Cheap to clone: clones share every metric.
+#[derive(Clone, Default)]
+pub struct Registry(Arc<Mutex<Metrics>>);
+
+impl Registry {
+    /// A fresh, empty registry.
+    pub fn new() -> Registry {
+        Registry::default()
+    }
+
+    fn metrics(&self) -> MutexGuard<'_, Metrics> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Intern (or fetch) the counter with this name.
+    pub fn counter(&self, name: &'static str) -> Counter {
+        self.metrics().counters.entry(name).or_default().clone()
+    }
+
+    /// Intern (or fetch) the gauge with this name.
+    pub fn gauge(&self, name: &'static str) -> Gauge {
+        self.metrics().gauges.entry(name).or_default().clone()
+    }
+
+    /// Intern (or fetch) the histogram with this name.
+    pub fn histogram(&self, name: &'static str) -> Histogram {
+        self.metrics().histograms.entry(name).or_default().clone()
+    }
+
+    /// Zero every metric, preserving all handed-out handles.
+    pub fn reset(&self) {
+        let m = self.metrics();
+        m.counters.values().for_each(Counter::zero);
+        m.gauges.values().for_each(Gauge::zero);
+        m.histograms.values().for_each(Histogram::zero);
+    }
+
+    /// Read every metric's live value.
+    pub fn snapshot(&self) -> Snapshot {
+        let m = self.metrics();
+        Snapshot {
+            counters: m
+                .counters
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.get()))
+                .collect(),
+            gauges: m
+                .gauges
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.get()))
+                .collect(),
+            histograms: m
+                .histograms
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.snapshot()))
+                .collect(),
+        }
+    }
+
+    /// Make this the calling thread's current registry. Call it first
+    /// thing on a new thread.
+    ///
+    /// # Panics
+    ///
+    /// If the thread has already used a different registry: metric handles
+    /// it resolved (and cached) would keep recording into that one.
+    pub fn enter(&self) {
+        CURRENT.with(|cur| {
+            if let Err(me) = cur.set(self.clone()) {
+                let prior = cur.get().expect("set failed, so the cell is full");
+                assert!(
+                    Arc::ptr_eq(&prior.0, &me.0),
+                    "telemetry: this thread already records into another registry; \
+                     enter a registry before the thread's first metric"
+                );
+            }
+        });
+    }
+}
+
 thread_local! {
-    static REGISTRY: RefCell<Registry> = RefCell::new(Registry::default());
+    static CURRENT: OnceCell<Registry> = const { OnceCell::new() };
     static SPANS: RefCell<SpanCollector> = RefCell::new(SpanCollector::default());
 }
 
-/// Intern (or fetch) the counter with this name in the thread's registry.
+fn with_current<R>(f: impl FnOnce(&Registry) -> R) -> R {
+    CURRENT.with(|cur| f(cur.get_or_init(Registry::new)))
+}
+
+/// The calling thread's current registry (a fresh one on first use).
+pub fn current() -> Registry {
+    with_current(Registry::clone)
+}
+
+/// Intern (or fetch) the counter with this name in the current registry.
 pub fn counter(name: &'static str) -> Counter {
-    REGISTRY.with(|r| r.borrow_mut().counters.entry(name).or_default().clone())
+    with_current(|r| r.counter(name))
 }
 
 /// Intern (or fetch) the gauge with this name.
 pub fn gauge(name: &'static str) -> Gauge {
-    REGISTRY.with(|r| r.borrow_mut().gauges.entry(name).or_default().clone())
+    with_current(|r| r.gauge(name))
 }
 
 /// Intern (or fetch) the histogram with this name.
 pub fn histogram(name: &'static str) -> Histogram {
-    REGISTRY.with(|r| r.borrow_mut().histograms.entry(name).or_default().clone())
+    with_current(|r| r.histogram(name))
 }
 
 /// Current value of a counter (interning it if absent, value 0).
@@ -228,21 +314,10 @@ pub fn counter_value(name: &'static str) -> u64 {
     counter(name).get()
 }
 
-/// Zero every metric in the thread's registry, preserving all handed-out
+/// Zero every metric in the current registry, preserving all handed-out
 /// handles (they share the underlying cells).
 pub fn reset() {
-    REGISTRY.with(|r| {
-        let r = r.borrow();
-        for c in r.counters.values() {
-            c.zero();
-        }
-        for g in r.gauges.values() {
-            g.zero();
-        }
-        for h in r.histograms.values() {
-            h.zero();
-        }
-    });
+    with_current(Registry::reset)
 }
 
 // ---------------------------------------------------------------------------
@@ -266,28 +341,9 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
-/// Take a snapshot of the thread's registry.
+/// Take a snapshot of the current registry.
 pub fn snapshot() -> Snapshot {
-    REGISTRY.with(|r| {
-        let r = r.borrow();
-        Snapshot {
-            counters: r
-                .counters
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.get()))
-                .collect(),
-            gauges: r
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.get()))
-                .collect(),
-            histograms: r
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.snapshot()))
-                .collect(),
-        }
-    })
+    with_current(Registry::snapshot)
 }
 
 impl HistogramSnapshot {
@@ -349,53 +405,12 @@ impl HistogramSnapshot {
     }
 }
 
-/// Fold a snapshot (typically taken on a finished worker thread) into the
-/// *calling thread's* registry, so worker counters roll up into the
-/// coordinator's report. Counters and histograms accumulate; gauges add,
-/// which treats each thread's gauge as an independent contribution.
-pub fn absorb(snap: &Snapshot) {
-    for (name, v) in &snap.counters {
-        if *v > 0 {
-            counter(intern_name(name)).add(*v);
-        }
-    }
-    for (name, v) in &snap.gauges {
-        if *v != 0 {
-            gauge(intern_name(name)).add(*v);
-        }
-    }
-    for (name, h) in &snap.histograms {
-        if h.count > 0 {
-            histogram(intern_name(name)).absorb(h);
-        }
-    }
-}
-
-/// Registry keys are `&'static str` so hot-path handles never hash strings.
-/// Snapshot keys arrive as owned strings; interning leaks each *distinct*
-/// name at most once per process, and metric names are a small closed set.
-fn intern_name(name: &str) -> &'static str {
-    thread_local! {
-        static INTERNED: RefCell<BTreeMap<String, &'static str>> =
-            const { RefCell::new(BTreeMap::new()) };
-    }
-    INTERNED.with(|m| {
-        let mut m = m.borrow_mut();
-        if let Some(&s) = m.get(name) {
-            return s;
-        }
-        let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-        m.insert(name.to_string(), leaked);
-        leaked
-    })
-}
-
 impl Snapshot {
-    /// Combine another registry snapshot into this one. Counters and
-    /// histogram samples accumulate; gauges add (per-thread contributions).
-    /// Merging is associative and commutative, so worker snapshots can be
-    /// folded in any order and serialize bit-identically to the same
-    /// events recorded on a single thread.
+    /// Combine another snapshot into this one (e.g. the intervals of a
+    /// [`RollingWindow`], or the registries of separate runs). Counters and
+    /// histogram samples accumulate; gauges add. Merging is associative and
+    /// commutative, and the result serializes bit-identically to the same
+    /// events recorded into one registry.
     pub fn merge(&mut self, other: &Snapshot) {
         for (name, v) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += v;
@@ -409,7 +424,7 @@ impl Snapshot {
     }
 
     /// The events recorded here but not in `base`, where `base` is an
-    /// earlier snapshot of the same (or a merged-subset) registry — the
+    /// earlier snapshot of the same registry — the
     /// sampler's per-interval delta. Counters and histogram samples
     /// subtract (saturating); gauges subtract signed, treating the delta
     /// as the gauge's movement over the interval. Metrics absent from
@@ -809,9 +824,9 @@ mod tests {
         assert_eq!(total, 5, "bucket counts must add up to the sample count");
     }
 
-    /// The canonical multi-thread roll-up: a workload split across worker
-    /// threads, merged (or absorbed), must serialize bit-identically to the
-    /// same events recorded on one thread.
+    /// Events split across snapshots and merged serialize bit-identically
+    /// to the same events recorded into one registry, whichever thread
+    /// recorded them.
     #[test]
     fn merge_round_trip_matches_single_threaded() {
         fn record_part_a() {
@@ -839,7 +854,7 @@ mod tests {
         record_part_b();
         let want = snapshot().to_json();
 
-        // Worker split: part B on its own thread, snapshotted there.
+        // Split: part B on another thread with its own registry.
         reset();
         record_part_a();
         let mut mine = snapshot();
@@ -859,17 +874,93 @@ mod tests {
         commuted.merge(&mine);
         assert_eq!(commuted.to_json(), want, "merge must commute");
 
-        // absorb() folds into the live registry with the same result.
+        // Part B on a thread inside this thread's registry needs no merge.
         reset();
-        absorb(&mine);
-        absorb(&theirs);
-        assert_eq!(snapshot().to_json(), want, "absorb must match merge");
+        record_part_a();
+        let reg = current();
+        std::thread::spawn(move || {
+            reg.enter();
+            record_part_b();
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            snapshot().to_json(),
+            want,
+            "shared registry must match merge"
+        );
 
         // Merging the empty snapshot is the identity.
         let before = mine.to_json();
         mine.merge(&Snapshot::default());
         assert_eq!(mine.to_json(), before);
     }
+
+    #[test]
+    fn threads_entering_one_registry_sum_exactly() {
+        const THREADS: u64 = 4;
+        const EVENTS: u64 = 10_000;
+        let reg = Registry::new();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let reg = &reg;
+                scope.spawn(move || {
+                    reg.enter();
+                    let c = counter("sum.events");
+                    let h = histogram("sum.values");
+                    for i in 0..EVENTS {
+                        c.inc();
+                        h.record(t * EVENTS + i);
+                    }
+                    gauge("sum.threads").add(1);
+                });
+            }
+        });
+        let snap = reg.snapshot();
+        let n = THREADS * EVENTS;
+        assert_eq!(snap.counters["sum.events"], n);
+        assert_eq!(snap.gauges["sum.threads"], THREADS as i64);
+        let h = &snap.histograms["sum.values"];
+        assert_eq!(h.count, n);
+        assert_eq!(h.sum, n * (n - 1) / 2);
+        assert_eq!(h.buckets.iter().map(|b| b.2).sum::<u64>(), n);
+        // The spawning thread never entered: its own registry saw nothing.
+        assert!(!snapshot().counters.contains_key("sum.events"));
+    }
+
+    #[test]
+    fn entering_after_recording_fails() {
+        let reg = Registry::new();
+        let late = std::thread::spawn({
+            let reg = reg.clone();
+            move || {
+                counter("late.first").inc();
+                reg.enter();
+            }
+        })
+        .join();
+        assert!(late.is_err(), "entering after the first metric must panic");
+        assert!(reg.snapshot().counters.is_empty());
+
+        // Entering the same registry twice is harmless.
+        std::thread::spawn(move || {
+            reg.enter();
+            counter("twice").inc();
+            reg.enter();
+            assert_eq!(reg.snapshot().counters["twice"], 1);
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// Compile-time check: metric handles and registries cross threads.
+    const _: () = {
+        const fn send_sync<T: Send + Sync>() {}
+        send_sync::<Counter>();
+        send_sync::<Gauge>();
+        send_sync::<Histogram>();
+        send_sync::<Registry>();
+    };
 
     /// delta is the inverse of merge: for cumulative snapshots a ⊆ b,
     /// a.merge(b.delta(a)) reproduces b exactly.

@@ -8,9 +8,8 @@
 //! construction. Queries run against an explicit [`DbSnapshot`]: the
 //! writer keeps mutating and publishing while scans see a frozen epoch.
 //!
-//! Telemetry is thread-local; worker threads hand their registry snapshot
-//! back and the calling thread folds them in with [`telemetry::absorb`],
-//! so aggregate counters look exactly like a single-threaded run.
+//! [`parallel_query`] starts its workers inside the caller's telemetry
+//! registry, so aggregate counters look exactly like a single-threaded run.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -23,7 +22,7 @@ use schema::{Encoding, Schema};
 use crate::error::{Error, Result};
 use crate::index::{IndexId, Planner};
 use crate::query::{Query, QueryHit};
-use crate::scan::{self, ScanStats};
+use crate::scan::{self, QueryTrace, ScanStats};
 use crate::spec::IndexSpec;
 
 /// A frozen, consistent view of the index tree at one published epoch.
@@ -146,17 +145,24 @@ impl<P: PageStore> DatabaseReader<P> {
     }
 
     /// Run `q` against `snap`, returning hits and scan cost counters.
-    /// Concurrent calls from different threads are independent; each
-    /// accumulates into its own thread-local telemetry registry.
+    /// Concurrent calls from different threads are independent.
     pub fn query_at(&self, snap: &DbSnapshot, q: &Query) -> Result<(Vec<QueryHit>, ScanStats)> {
+        let (hits, stats, _) = self.query_traced_at(snap, q)?;
+        Ok((hits, stats))
+    }
+
+    fn query_traced_at(
+        &self,
+        snap: &DbSnapshot,
+        q: &Query,
+    ) -> Result<(Vec<QueryHit>, ScanStats, QueryTrace)> {
         let matcher = Planner {
             specs: &self.specs,
             encoding: &self.encoding,
         }
         .matcher(q)?;
         let view = self.tree.read(&snap.snap);
-        let (hits, stats, _) = scan::execute_traced(&view, &matcher, q.algorithm, q.distinct_upto)?;
-        Ok((hits, stats))
+        scan::execute_traced(&view, &matcher, q.algorithm, q.distinct_upto)
     }
 
     /// Convenience: pin the latest epoch and run one query against it.
@@ -194,7 +200,8 @@ impl<P: PageStore> DatabaseReader<P> {
     /// quarantined — or the scan hits storage trouble on the spot — the
     /// answer is recomputed from the fallback object store instead of
     /// failing (or worse, trusting damaged pages). The returned flag says
-    /// whether the degraded path answered.
+    /// whether the degraded path answered; the [`QueryTrace`] (all zero
+    /// for a degraded answer) carries the per-query costs.
     ///
     /// Fault policy, mirroring [`crate::Database::query_traced_guarded`]:
     ///
@@ -209,29 +216,33 @@ impl<P: PageStore> DatabaseReader<P> {
         &self,
         snap: &DbSnapshot,
         q: &Query,
-    ) -> Result<(Vec<QueryHit>, ScanStats, bool)> {
+    ) -> Result<(Vec<QueryHit>, ScanStats, QueryTrace, bool)> {
+        let degraded = |src| -> Result<_> {
+            let hits = self.degraded_eval(src, q)?;
+            Ok((hits, ScanStats::default(), QueryTrace::default(), true))
+        };
         let Some(src) = &self.degraded else {
-            return self.query_at(snap, q).map(|(h, s)| (h, s, false));
+            return self
+                .query_traced_at(snap, q)
+                .map(|(h, s, t)| (h, s, t, false));
         };
         if src.flag.load(Ordering::Acquire) {
-            return Ok((self.degraded_eval(src, q)?, ScanStats::default(), true));
+            return degraded(src);
         }
-        match self.query_at(snap, q) {
-            Ok((h, s)) => Ok((h, s, false)),
+        match self.query_traced_at(snap, q) {
+            Ok((h, s, t)) => Ok((h, s, t, false)),
             Err(Error::Page(e)) if e.is_corruption() => {
                 src.flag.store(true, Ordering::Release);
                 telemetry::counter("uindex.degraded.quarantines").inc();
-                Ok((self.degraded_eval(src, q)?, ScanStats::default(), true))
+                degraded(src)
             }
-            Err(Error::Page(pagestore::Error::Io(_))) => {
-                Ok((self.degraded_eval(src, q)?, ScanStats::default(), true))
-            }
+            Err(Error::Page(pagestore::Error::Io(_))) => degraded(src),
             Err(e) => Err(e),
         }
     }
 
     /// Convenience: pin the latest epoch and run one guarded query.
-    pub fn query_guarded(&self, q: &Query) -> Result<(Vec<QueryHit>, ScanStats, bool)> {
+    pub fn query_guarded(&self, q: &Query) -> Result<(Vec<QueryHit>, ScanStats, QueryTrace, bool)> {
         let snap = self.snapshot();
         self.query_guarded_at(&snap, q)
     }
@@ -256,10 +267,9 @@ impl<P: PageStore> DatabaseReader<P> {
 /// `threads` worker threads, returning per-query results in input order.
 ///
 /// Work is claimed dynamically (an atomic cursor, not pre-chunking), so
-/// skewed query costs still balance. Each worker accumulates telemetry in
-/// its own thread-local registry; the snapshots are folded into the
-/// calling thread's registry before returning, so counter totals match a
-/// single-threaded execution of the same stream.
+/// skewed query costs still balance. The workers record telemetry into the
+/// calling thread's registry, so counter totals match a single-threaded
+/// execution of the same stream.
 pub fn parallel_query<P>(
     reader: &DatabaseReader<P>,
     queries: &[Query],
@@ -271,7 +281,7 @@ where
     let threads = threads.max(1);
     let snap = reader.snapshot();
     if threads == 1 || queries.len() <= 1 {
-        // Inline fast path: no thread or telemetry hand-off needed.
+        // Inline fast path: no threads needed.
         return queries.iter().map(|q| reader.query_at(&snap, q)).collect();
     }
 
@@ -279,12 +289,13 @@ where
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<QuerySlot>> = Mutex::new((0..queries.len()).map(|_| None).collect());
 
+    let registry = telemetry::current();
     std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
             let reader = reader.clone();
-            let (snap, next, results) = (&snap, &next, &results);
-            workers.push(scope.spawn(move || {
+            let (snap, next, results, registry) = (&snap, &next, &results, &registry);
+            scope.spawn(move || {
+                registry.enter();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= queries.len() {
@@ -293,12 +304,7 @@ where
                     let r = reader.query_at(snap, &queries[i]);
                     results.lock().unwrap()[i] = Some(r);
                 }
-                telemetry::snapshot()
-            }));
-        }
-        for w in workers {
-            let worker_metrics = w.join().expect("query worker panicked");
-            telemetry::absorb(&worker_metrics);
+            });
         }
     });
 

@@ -3,7 +3,7 @@
 //! [`explain`] runs the query for real (ANALYZE semantics — there is no
 //! plan-only mode, because translation is cheap and the interesting numbers
 //! are the executed costs) and packages the plan the translator produced,
-//! the legacy [`ScanStats`] counters, the registry-derived [`QueryTrace`]
+//! the legacy [`ScanStats`] counters, the executed [`QueryTrace`]
 //! and the per-phase span tree into an [`ExplainReport`] renderable as
 //! aligned text or JSON. The output contract is documented in DESIGN.md §9.
 
@@ -47,7 +47,7 @@ pub struct ExplainReport {
     /// Legacy per-query counters (kept equal to `trace` by construction;
     /// asserted in `bench/tests/explain_table1.rs`).
     pub stats: ScanStats,
-    /// Registry-derived executed trace, including the span tree.
+    /// Executed per-query trace, including the span tree.
     pub trace: QueryTrace,
     /// Whether the query was answered by the degraded object-store scan
     /// instead of the (quarantined) index. The trace counters are all

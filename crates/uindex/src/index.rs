@@ -259,7 +259,7 @@ impl<S: PageStore> UIndex<S> {
         Ok((hits, stats))
     }
 
-    /// Run a query collecting the full executed trace: registry-derived
+    /// Run a query collecting the full executed trace: per-query
     /// breakdowns (reseek tiers, pool hits/misses, partial keys expanded)
     /// and the per-phase span tree `query` → `plan` / `descend` / `scan`.
     pub fn query_traced(

@@ -67,7 +67,7 @@ pub struct ScanStats {
 }
 
 /// Executed-query trace: everything [`ScanStats`] reports plus the
-/// registry-derived breakdowns a single counter struct cannot carry — how
+/// per-query breakdowns a single counter struct cannot carry — how
 /// the skip-seeks resolved (within-leaf / LCA re-descent / full descent),
 /// how the buffer pool behaved, how many partial keys the matcher expanded
 /// — and the per-phase timing span tree (`query` → `plan`/`descend`/`scan`)
@@ -414,12 +414,13 @@ fn skip_seek<S: PageStore>(
 /// examining an entry copies no key or value bytes and performs no
 /// allocation; only actual matches materialize owned data.
 ///
-/// Registry counter deltas captured around the scan attribute the
-/// skip-seeks to their resolution tier and the page fetches to pool hits
-/// vs misses, forming the returned [`QueryTrace`]. All cumulative
-/// `uindex.*` registry counters and the per-query histograms are fed here,
-/// so every query path (UQL, programmatic, benches) reports through one
-/// place.
+/// The returned [`QueryTrace`] comes from per-query state only — the
+/// cursor's [`btree::SeekStats`] splits the skip-seeks by resolution tier,
+/// the pool's per-thread query state splits the page fetches into hits and
+/// misses — so it stays exact when other threads record into the same
+/// telemetry registry. All cumulative `uindex.*` registry counters and the
+/// per-query histograms are fed here, so every query path (UQL,
+/// programmatic, benches) reports through one place.
 pub(crate) fn execute_traced<S: PageStore>(
     view: &ReadView<'_, S>,
     matcher: &Matcher,
@@ -427,11 +428,6 @@ pub(crate) fn execute_traced<S: PageStore>(
     distinct_upto: Option<usize>,
 ) -> Result<(Vec<QueryHit>, ScanStats, QueryTrace)> {
     view.pool().begin_query();
-    let reseek_leaf_0 = telemetry::counter_value("btree.reseek.leaf");
-    let reseek_lca_0 = telemetry::counter_value("btree.reseek.lca");
-    let reseek_full_0 = telemetry::counter_value("btree.reseek.full");
-    let pool_hits_0 = telemetry::counter_value("pagestore.pool.hits");
-    let pool_misses_0 = telemetry::counter_value("pagestore.pool.misses");
     let mut stats = ScanStats::default();
     let mut trace = QueryTrace::default();
     let mut scratch = ScanScratch::default();
@@ -495,6 +491,11 @@ pub(crate) fn execute_traced<S: PageStore>(
     let s = cur.seek_stats();
     stats.descents = s.descents;
     stats.reseek_depth_total = s.depth_total;
+    trace.reseeks_leaf = s.leaf_reseeks;
+    trace.reseeks_lca = s.lca_reseeks;
+    trace.reseeks_full = s.full_reseeks;
+    trace.pool_hits = q.hits;
+    trace.pool_misses = q.misses;
 
     trace.skips = stats.seeks;
     trace.entries_examined = stats.entries_examined;
@@ -503,11 +504,6 @@ pub(crate) fn execute_traced<S: PageStore>(
     trace.node_visits = stats.node_visits;
     trace.descents = stats.descents;
     trace.reseek_depth_total = stats.reseek_depth_total;
-    trace.reseeks_leaf = telemetry::counter_value("btree.reseek.leaf") - reseek_leaf_0;
-    trace.reseeks_lca = telemetry::counter_value("btree.reseek.lca") - reseek_lca_0;
-    trace.reseeks_full = telemetry::counter_value("btree.reseek.full") - reseek_full_0;
-    trace.pool_hits = telemetry::counter_value("pagestore.pool.hits") - pool_hits_0;
-    trace.pool_misses = telemetry::counter_value("pagestore.pool.misses") - pool_misses_0;
 
     telemetry::counter("uindex.query.count").inc();
     telemetry::counter("uindex.scan.entries_examined").add(stats.entries_examined);

@@ -120,7 +120,7 @@ fn disk_reader_degrades_on_exhausted_retries_without_quarantine() {
     // Three consecutive failures exhaust the pool's 3 bounded attempts.
     h.inject_burst(h.ops(), 3, Fault::IoError);
 
-    let (hits, _, degraded) = reader.query_guarded(&red_query(id)).unwrap();
+    let (hits, _, _, degraded) = reader.query_guarded(&red_query(id)).unwrap();
     assert!(degraded, "exhausted retries must degrade, not fail");
     assert_eq!(hits, healthy, "degraded answers must match healthy ones");
     assert!(
@@ -133,7 +133,7 @@ fn disk_reader_degrades_on_exhausted_retries_without_quarantine() {
     );
 
     // The faults are gone; the very next query uses the index again.
-    let (hits2, _, degraded2) = reader.query_guarded(&red_query(id)).unwrap();
+    let (hits2, _, _, degraded2) = reader.query_guarded(&red_query(id)).unwrap();
     assert!(!degraded2, "no quarantine, so the index path is retried");
     assert_eq!(hits2, healthy);
     db.close().unwrap();
@@ -158,7 +158,7 @@ fn corruption_is_never_retried_and_quarantines_shared_flag() {
     // detects it as corruption.
     h.inject(h.ops(), Fault::BitFlip { bit: 7 });
 
-    let (hits, _, degraded) = reader.query_guarded(&red_query(id)).unwrap();
+    let (hits, _, _, degraded) = reader.query_guarded(&red_query(id)).unwrap();
     assert!(degraded, "corruption mid-scan degrades the answer");
     assert_eq!(hits, healthy, "degraded answers must match healthy ones");
     assert_eq!(
@@ -176,7 +176,7 @@ fn corruption_is_never_retried_and_quarantines_shared_flag() {
     );
 
     // The flag sticks even though the one-shot fault is consumed.
-    let (hits2, _, degraded2) = reader.query_guarded(&red_query(id)).unwrap();
+    let (hits2, _, _, degraded2) = reader.query_guarded(&red_query(id)).unwrap();
     assert!(degraded2, "quarantine persists until a clean check");
     assert_eq!(hits2, healthy);
 
@@ -184,7 +184,7 @@ fn corruption_is_never_retried_and_quarantines_shared_flag() {
     let report = db.check().unwrap();
     assert!(report.clean(), "damage was transient, the pages are intact");
     assert!(!reader.quarantined() && !db.quarantined());
-    let (hits3, _, degraded3) = reader.query_guarded(&red_query(id)).unwrap();
+    let (hits3, _, _, degraded3) = reader.query_guarded(&red_query(id)).unwrap();
     assert!(!degraded3, "a clean check restores the index path");
     assert_eq!(hits3, healthy);
 }

@@ -7,9 +7,13 @@
 
 use objstore::Value;
 use schema::{AttrType, Schema};
-use uindex::{ClassSel, Database, IndexSpec, Query, ScanAlgorithm, ValuePred};
+use uindex::{ClassSel, Database, IndexSpec, Query, QueryTrace, ScanAlgorithm, ValuePred};
 
 fn build_db() -> (Database, uindex::IndexId, schema::ClassId) {
+    build_db_of(200)
+}
+
+fn build_db_of(objects: u32) -> (Database, uindex::IndexId, schema::ClassId) {
     let mut s = Schema::new();
     let vehicle = s.add_class("Vehicle").unwrap();
     s.add_attr(vehicle, "Color", AttrType::Str).unwrap();
@@ -20,7 +24,7 @@ fn build_db() -> (Database, uindex::IndexId, schema::ClassId) {
         .define_index(IndexSpec::class_hierarchy("color", vehicle, "Color"))
         .unwrap();
     let colors = ["Red", "Blue", "Green", "White", "Black"];
-    for i in 0..200u32 {
+    for i in 0..objects {
         let class = match i % 3 {
             0 => vehicle,
             1 => auto,
@@ -116,4 +120,72 @@ fn seek_stats_are_per_query_not_accumulated() {
         first, second,
         "per-cursor SeekStats must not accumulate across queries"
     );
+}
+
+/// Per-query isolation in a shared registry: the same traced queries run
+/// on several threads inside one telemetry registry must each report
+/// exactly their single-threaded trace — reseek tiers and pool hits and
+/// misses come from per-query state, not from registry deltas that other
+/// threads' events would leak into — while the registry sums them all.
+#[test]
+fn traces_stay_per_query_in_a_shared_registry() {
+    const THREADS: u64 = 3;
+    const ROUNDS: u64 = 10;
+    let (mut db, idx, auto) = build_db_of(3000);
+    let queries: Vec<Query> = [("Blue", "Red"), ("Black", "Green"), ("Green", "White")]
+        .into_iter()
+        .map(|(lo, hi)| {
+            Query::on(idx)
+                .value(ValuePred::between(
+                    Value::Str(lo.into()),
+                    Value::Str(hi.into()),
+                ))
+                .class_at(0, ClassSel::SubTree(auto))
+        })
+        .collect();
+    let reader = db.reader();
+    let tiers = |t: &QueryTrace| {
+        (
+            t.reseeks_leaf,
+            t.reseeks_lca,
+            t.reseeks_full,
+            t.pool_hits,
+            t.pool_misses,
+        )
+    };
+    // Warm the pool so every later run hits on every fetch.
+    for q in &queries {
+        reader.query_guarded(q).unwrap();
+    }
+    let want: Vec<_> = queries
+        .iter()
+        .map(|q| tiers(&reader.query_guarded(q).unwrap().2))
+        .collect();
+    assert!(
+        want.iter().all(|t| t.1 > 0 && t.3 > 0),
+        "premise: every query reseeks by LCA and fetches pages: {want:?}"
+    );
+
+    let registry = telemetry::Registry::new();
+    std::thread::scope(|scope| {
+        for t in 0..THREADS as usize {
+            let (reader, registry, queries, want) = (reader.clone(), &registry, &queries, &want);
+            scope.spawn(move || {
+                registry.enter();
+                for round in 0..ROUNDS as usize {
+                    for k in 0..queries.len() {
+                        let i = (k + t + round) % queries.len();
+                        let (_, _, trace, _) = reader.query_guarded(&queries[i]).unwrap();
+                        assert_eq!(tiers(&trace), want[i], "thread {t}, query {i}");
+                    }
+                }
+            });
+        }
+    });
+    let runs = THREADS * ROUNDS;
+    let snap = registry.snapshot();
+    let total = |f: fn(&(u64, u64, u64, u64, u64)) -> u64| runs * want.iter().map(f).sum::<u64>();
+    assert_eq!(snap.counters["btree.reseek.leaf"], total(|t| t.0));
+    assert_eq!(snap.counters["btree.reseek.lca"], total(|t| t.1));
+    assert_eq!(snap.counters["pagestore.pool.hits"], total(|t| t.3));
 }
